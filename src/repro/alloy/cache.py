@@ -196,9 +196,10 @@ class CNFCache:
     def as_metrics(self) -> dict[str, int]:
         """The :class:`repro.obs.Stats` protocol: raw summable counters.
 
-        ``compile_warm_entries`` sums per *cache instance* — each worker
-        counts its own disk layer's pre-existing entries once — so a
-        merged nonzero value means at least one worker started warm.
+        ``compile_warm_entries`` is a level, not a counter (see
+        :data:`repro.obs.LEVEL_METRICS`): shard deltas keep it and
+        merges take its maximum, so a merged nonzero value means at
+        least one worker started warm, whatever the worker count.
         """
         return {
             "compile_hits": self.hits,

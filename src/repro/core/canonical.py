@@ -30,6 +30,7 @@ from repro.litmus.test import Dep, LitmusTest
 __all__ = [
     "canonicalize",
     "canonical_form",
+    "encoding",
     "paper_canonicalize",
     "symmetry_class_size",
     "CanonicalSet",
@@ -126,7 +127,12 @@ def _renamed_addr_map(
     return tuple(sorted(entries))
 
 
-def _encoding(test: LitmusTest) -> tuple:
+def encoding(test: LitmusTest) -> tuple:
+    """The plain-data key of a test's presentation: ints and strings
+    only, write values left out.  :func:`canonicalize` keeps the
+    permutation that minimizes it, so on a canonical form it identifies
+    the symmetry class — stably across processes and interpreter
+    versions."""
     threads = tuple(
         tuple(
             _encode_instruction(inst, inst.address) for inst in thread
@@ -151,7 +157,7 @@ def canonicalize(
     best_result = None
     for order in permutations(range(len(test.threads))):
         candidate, event_map, addr_map = _permuted(test, order)
-        key = _encoding(candidate)
+        key = encoding(candidate)
         if best is None or key < best:
             best, best_result = key, (candidate, event_map, addr_map)
     assert best_result is not None
@@ -193,7 +199,7 @@ def symmetry_class_size(test: LitmusTest) -> int:
     encodings = set()
     for order in permutations(range(len(test.threads))):
         candidate, _, _ = _permuted(test, order)
-        encodings.add(_encoding(candidate))
+        encodings.add(encoding(candidate))
     return len(encodings)
 
 

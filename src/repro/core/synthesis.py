@@ -12,28 +12,28 @@ The stable call form takes a :class:`SynthesisOptions` value::
 
 Oracle configuration travels as one :class:`OracleSpec` value
 (``SynthesisOptions(bound=4, oracle_spec=OracleSpec(oracle="relational"))``);
-the four loose fields (``oracle``/``incremental``/``cnf_cache_dir``/
-``prefilter``) still work through a shim but emit a
-:class:`DeprecationWarning`.  The pre-1.1 loose-keyword call form
-(``synthesize(model, bound, axioms=..., ...)``) was removed in 1.2 and
-now raises :class:`TypeError`.  ``jobs > 1`` (or a ``checkpoint_dir``)
-routes the run through the sharded multiprocess runtime in
-:mod:`repro.exec`; its merged output is byte-identical to the
-sequential run.
+the loose ``oracle``/``incremental``/``cnf_cache_dir``/``prefilter``
+fields were removed in 1.3 and now raise :class:`TypeError`, as the
+pre-1.1 loose-keyword call form has since 1.2.
+
+This module holds the options, the result, and the checker factory;
+the candidate loop itself lives in one place,
+:func:`repro.exec.worker.compute_shard`, driven by
+:func:`repro.exec.runtime.run_sharded`.  A plain ``jobs=1`` run is one
+in-process shard of it; ``jobs > 1``, a shard count, a
+``checkpoint_dir`` or a ``trace_dir`` split the run into shards whose
+merged output is byte-identical to the one-shard run.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
+import functools
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
-from repro.obs import current_registry
-from repro.core.canonical import canonical_form
-from repro.core.enumerator import EnumerationConfig, enumerate_tests
+from repro.core.enumerator import EnumerationConfig
 from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.core.suite import TestSuite
 
@@ -74,7 +74,7 @@ class OracleSpec:
     Bundles everything that selects and tunes the criterion oracle —
     the four knobs that used to travel as loose
     :class:`SynthesisOptions` fields.  One ``OracleSpec`` is consumed
-    identically by the sequential loop, every shard worker, and the
+    identically by every shard worker, in-process or not, and the
     service daemon's resident pools, so the same value always resolves
     to the same pipeline (and the same request fingerprint).
 
@@ -127,10 +127,33 @@ class OracleSpec:
         return cls(**payload)
 
 
-#: the loose ``SynthesisOptions`` names the deprecation shim still accepts
+#: the loose oracle fields ``OracleSpec`` replaced (removed in 1.3)
 _SPEC_FIELDS = ("oracle", "incremental", "cnf_cache_dir", "prefilter")
 
 
+def reject_loose_oracle_fields(cls: type) -> type:
+    """Class decorator: constructing ``cls`` with one of the loose
+    oracle fields raises a :class:`TypeError` naming the
+    :class:`OracleSpec` replacement, instead of the bare
+    unexpected-keyword error."""
+    init = cls.__init__
+
+    @functools.wraps(init)
+    def __init__(self: object, *args: object, **kwargs: object) -> None:
+        loose = [name for name in _SPEC_FIELDS if name in kwargs]
+        if loose:
+            raise TypeError(
+                f"{cls.__name__} no longer takes {', '.join(loose)} "
+                "(removed in 1.3); bundle the oracle configuration as "
+                f"{cls.__name__}(oracle_spec=OracleSpec(...))"
+            )
+        init(self, *args, **kwargs)
+
+    cls.__init__ = __init__  # type: ignore[misc]
+    return cls
+
+
+@reject_loose_oracle_fields
 @dataclass
 class SynthesisOptions:
     """Everything ``synthesize`` needs besides the model itself.
@@ -145,24 +168,23 @@ class SynthesisOptions:
         candidates: explicit candidate stream (overrides the enumerator —
             used by tests and suite-from-corpus workflows; incompatible
             with ``jobs > 1`` / checkpointing).
-        progress: callback invoked with the running candidate count —
-            every 1000 candidates sequentially, after each completed
-            shard in parallel runs.
         progress_events: callback invoked with structured progress
-            event dicts (always carrying a ``"phase"`` key) — periodic
-            ``enumerate`` events plus a final ``finish`` event
-            sequentially, one ``shard`` event per completed shard in
-            parallel runs.  Process-local (never serializes); the
-            service daemon wires it to the streamed ``job-progress``
-            wire messages.
+            event dicts (always carrying a ``"phase"`` key) — a running
+            ``enumerate`` count every 1000 candidates (in-process runs
+            only: worker processes cannot call back), one ``shard``
+            event per completed shard of a sharded run (its
+            ``total_candidates`` is the running total), and a final
+            ``finish`` event with the merged counts.  Process-local
+            (never serializes); the service daemon wires it to the
+            streamed ``job-progress`` wire messages.
         reject: opt-in early filter passed to the enumerator; candidates
             it returns True for are skipped before any oracle call.  Pass
             the :data:`EARLY_REJECT` sentinel to build the lint-based
             filter per worker (plain callables only work with ``jobs=1``
             unless they are picklable).  Ignored when an explicit
             ``candidates`` stream is supplied.
-        jobs: worker process count; ``jobs > 1`` runs the sharded
-            multiprocess runtime (:mod:`repro.exec`).
+        jobs: worker process count; ``jobs > 1`` fans the shards out
+            over worker processes (:mod:`repro.exec`).
         checkpoint_dir: directory for shard-level checkpoints; a rerun
             with the same options resumes, skipping completed shards.
         shards: total shard count for parallel runs (default:
@@ -170,15 +192,12 @@ class SynthesisOptions:
             large enough for balance and useful checkpoint granularity).
         oracle_spec: the oracle configuration (:class:`OracleSpec`) —
             backend choice plus the relational oracle's incremental /
-            CNF-cache / prefilter knobs.  The loose constructor
-            arguments ``oracle=`` / ``incremental=`` / ``cnf_cache_dir=``
-            / ``prefilter=`` (and the matching read-only attributes)
-            still work but are deprecated shims over this field.
+            CNF-cache / prefilter knobs.
         trace_dir: optional directory for :mod:`repro.obs` trace files
             (driver phase spans, per-shard span/counter streams, and the
-            deterministic ``merged.jsonl``).  Setting it routes the run
-            through the sharded runtime even at ``jobs=1`` so the merged
-            trace is byte-identical for every job count; render with
+            deterministic ``merged.jsonl``).  Setting it splits the run
+            into shards even at ``jobs=1`` so the merged trace is
+            byte-identical for every job count; render with
             ``repro report``.
     """
 
@@ -188,7 +207,6 @@ class SynthesisOptions:
     config: EnumerationConfig | None = None
     exact_symmetry: bool = True
     candidates: Iterable[LitmusTest] | None = None
-    progress: Callable[[int], None] | None = None
     progress_events: Callable[[dict], None] | None = None
     reject: Callable[[LitmusTest], bool] | str | None = None
     jobs: int = 1
@@ -250,60 +268,6 @@ class SynthesisOptions:
         return self.reject  # a callable or None
 
 
-# -- the deprecated loose-field shim over SynthesisOptions.oracle_spec --------
-#
-# Pre-1.2 code wrote ``SynthesisOptions(bound=4, oracle="relational")`` and
-# read ``opts.oracle``.  Both still work — the constructor folds the loose
-# keywords into an OracleSpec and matching read-only properties alias into
-# it — but each direction warns, because OracleSpec is the one
-# non-deprecated way to carry oracle configuration.
-
-_dataclass_options_init = SynthesisOptions.__init__
-
-
-def _options_init(self: SynthesisOptions, *args: object, **kwargs: object) -> None:
-    loose = {name: kwargs.pop(name) for name in _SPEC_FIELDS if name in kwargs}
-    if loose:
-        if "oracle_spec" in kwargs:
-            raise TypeError(
-                "pass either oracle_spec or the loose oracle fields "
-                f"({sorted(loose)}), not both"
-            )
-        warnings.warn(
-            "passing oracle/incremental/cnf_cache_dir/prefilter to "
-            "SynthesisOptions is deprecated; bundle them as "
-            "SynthesisOptions(oracle_spec=OracleSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["oracle_spec"] = OracleSpec(**loose)  # type: ignore[arg-type]
-    _dataclass_options_init(self, *args, **kwargs)  # type: ignore[arg-type]
-
-
-_options_init.__name__ = "__init__"
-SynthesisOptions.__init__ = _options_init  # type: ignore[method-assign]
-
-
-def _spec_alias(name: str) -> property:
-    def _get(self: SynthesisOptions) -> object:
-        warnings.warn(
-            f"SynthesisOptions.{name} is deprecated; read "
-            f"options.oracle_spec.{name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self.oracle_spec, name)
-
-    _get.__name__ = name
-    _get.__doc__ = f"Deprecated alias for ``oracle_spec.{name}`` (warns)."
-    return property(_get)
-
-
-for _name in _SPEC_FIELDS:
-    setattr(SynthesisOptions, _name, _spec_alias(_name))
-del _name
-
-
 @dataclass
 class SynthesisResult:
     """Per-axiom suites, the union suite, and bookkeeping counters.
@@ -328,18 +292,6 @@ class SynthesisResult:
     jobs: int = 1
     shard_count: int = 0
     oracle_stats: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds` (warns)."""
-        warnings.warn(
-            "SynthesisResult.elapsed_seconds is deprecated; read "
-            "wall_seconds (elapsed real time) or cpu_seconds (summed "
-            "worker busy time) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.wall_seconds
 
     def counts(self) -> dict:
         out: dict = {name: len(suite) for name, suite in self.per_axiom.items()}
@@ -411,9 +363,9 @@ def build_checker(
 ) -> MinimalityChecker:
     """Build the minimality checker for one :class:`OracleSpec`.
 
-    Shared by the sequential loop, every shard worker, and the service
-    daemon's resident pools, so every path resolves the same spec to
-    the exact same pipeline.
+    Shared by every shard worker and the service daemon's resident
+    pools, so every path resolves the same spec to the exact same
+    pipeline.
     """
     if spec is None:
         spec = OracleSpec()
@@ -495,18 +447,9 @@ def synthesize(
             "the loose-keyword form was removed in 1.2 — build the options "
             "value explicitly: synthesize(model, SynthesisOptions(bound=...))"
         )
-    opts = options
+    from repro.exec import run_sharded
 
-    if (
-        opts.jobs > 1
-        or opts.shards is not None
-        or opts.checkpoint_dir is not None
-        or opts.trace_dir is not None
-    ):
-        from repro.exec import run_sharded
-
-        return run_sharded(model, opts)
-    return run_sequential(model, opts)
+    return run_sharded(model, options)
 
 
 def run_sequential(
@@ -514,98 +457,22 @@ def run_sequential(
     opts: SynthesisOptions,
     checker: MinimalityChecker | None = None,
 ) -> SynthesisResult:
-    """The sequential synthesis loop, optionally over a resident checker.
+    """One in-process, one-shard run, optionally over a resident checker.
 
-    ``checker`` lets a long-lived host (the :mod:`repro.service` worker
-    pool) inject a warm :class:`MinimalityChecker` whose oracle caches —
-    analysis memos, incremental solver sessions, the CNF compilation
-    cache — survive across calls.  It must have been built for the same
-    model and oracle configuration as ``opts`` (see
-    :func:`build_checker`); when omitted, a fresh one is built, which is
-    exactly what ``synthesize`` does for one-shot runs.  Note that with
-    a resident checker the returned ``oracle_stats`` are the oracle's
-    *cumulative* counters, not this call's delta — residency is the
-    point.
+    ``opts.jobs``/``shards``/``checkpoint_dir``/``trace_dir`` are
+    ignored.  ``checker`` lets a long-lived host (the
+    :mod:`repro.service` worker pool, a benchmark harness) inject a warm
+    :class:`MinimalityChecker` whose oracle caches — analysis memos,
+    incremental solver sessions, the CNF compilation cache — survive
+    across calls.  It must have been built for the same model and
+    oracle configuration as ``opts`` (see :func:`build_checker`); when
+    omitted, a fresh one is built.  The returned ``oracle_stats`` are
+    this call's delta either way: a warm checker's second call reports
+    only the work that call did.
     """
-    start = time.perf_counter()
-    config = opts.resolved_config(model)
-    axiom_names = opts.axiom_names(model)
-    if checker is None:
-        checker = build_checker(model, opts.mode, opts.oracle_spec)
-    per_axiom = {
-        name: TestSuite(model.name, name, opts.exact_symmetry)
-        for name in axiom_names
-    }
-    union = TestSuite(model.name, "union", opts.exact_symmetry)
-    axiom_seconds = {name: 0.0 for name in axiom_names}
+    from repro.exec import run_sharded
 
-    stream = (
-        opts.candidates
-        if opts.candidates is not None
-        else enumerate_tests(
-            model.vocabulary, config, reject=opts.resolved_reject(model)
-        )
+    one_shard = replace(
+        opts, jobs=1, shards=None, checkpoint_dir=None, trace_dir=None
     )
-    progress = opts.progress
-    events = opts.progress_events
-    seen: set[LitmusTest] = set()
-    n_candidates = 0
-    n_unique = 0
-    n_minimal = 0
-    for test in stream:
-        n_candidates += 1
-        if n_candidates % 1000 == 0:
-            if progress is not None:
-                progress(n_candidates)
-            if events is not None:
-                events({"phase": "enumerate", "candidates": n_candidates})
-        canon = canonical_form(test)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        n_unique += 1
-        minimal_for: list[str] = []
-        witness = None
-        for name in axiom_names:
-            t0 = time.perf_counter()
-            result = checker.check(test, name)
-            axiom_seconds[name] += time.perf_counter() - t0
-            if result.is_minimal:
-                minimal_for.append(name)
-                witness = result.witness
-                per_axiom[name].add(test, result.witness, [name])
-        if minimal_for:
-            n_minimal += 1
-            assert witness is not None
-            union.add(test, witness, minimal_for)
-
-    elapsed = time.perf_counter() - start
-    if events is not None:
-        events(
-            {
-                "phase": "finish",
-                "candidates": n_candidates,
-                "unique": n_unique,
-                "minimal": n_minimal,
-            }
-        )
-    registry = current_registry()
-    registry.count("candidates", n_candidates)
-    registry.count("unique_candidates", n_unique)
-    registry.count("minimal_tests", n_minimal)
-    cache_stats = getattr(checker.oracle, "cache_stats", None)
-    return SynthesisResult(
-        model_name=model.name,
-        bound=opts.bound,
-        per_axiom=per_axiom,
-        union=union,
-        candidates=n_candidates,
-        unique_candidates=n_unique,
-        minimal_tests=n_minimal,
-        wall_seconds=elapsed,
-        cpu_seconds=elapsed,
-        axiom_seconds=axiom_seconds,
-        jobs=1,
-        shard_count=0,
-        oracle_stats=cache_stats() if cache_stats is not None else {},
-    )
+    return run_sharded(model, one_shard, checker=checker)

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 
-from repro.core.synthesis import OracleSpec
+from repro.core.synthesis import OracleSpec, reject_loose_oracle_fields
 from repro.difftest.corpus import Corpus
 from repro.difftest.discrepancy import KINDS, Discrepancy, discrepancy_fingerprint
 from repro.difftest.generator import GeneratorConfig, TestGenerator
@@ -69,6 +68,7 @@ CAMPAIGN_SCHEMA = 2
 _MAX_SHRINKS = 25
 
 
+@reject_loose_oracle_fields
 @dataclass(frozen=True)
 class CampaignOptions:
     """Everything one campaign run needs (picklable, crosses workers)."""
@@ -87,8 +87,7 @@ class CampaignOptions:
     #: the oracle configuration (only ``prefilter`` steers a campaign
     #: today: route the relational oracle through the polynomial static
     #: prefilter, which also exercises its agreement with the explicit
-    #: oracle).  The loose ``prefilter=`` argument and attribute remain
-    #: as deprecated shims over this field.
+    #: oracle).
     oracle_spec: OracleSpec = field(default_factory=OracleSpec)
     #: optional :mod:`repro.obs` trace directory (driver phase spans +
     #: the deterministic merged discrepancy stream)
@@ -104,47 +103,6 @@ class CampaignOptions:
                 "oracle_spec must be an OracleSpec, got "
                 f"{type(self.oracle_spec).__name__}"
             )
-
-
-# -- the deprecated loose-field shim (mirrors SynthesisOptions's) -------------
-
-_dataclass_campaign_init = CampaignOptions.__init__
-
-
-def _campaign_init(self: CampaignOptions, *args: object, **kwargs: object) -> None:
-    if "prefilter" in kwargs:
-        if "oracle_spec" in kwargs:
-            raise TypeError(
-                "pass either oracle_spec or the loose prefilter field, "
-                "not both"
-            )
-        warnings.warn(
-            "passing prefilter to CampaignOptions is deprecated; bundle "
-            "it as CampaignOptions(oracle_spec=OracleSpec(prefilter=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["oracle_spec"] = OracleSpec(
-            prefilter=bool(kwargs.pop("prefilter"))
-        )
-    _dataclass_campaign_init(self, *args, **kwargs)  # type: ignore[arg-type]
-
-
-_campaign_init.__name__ = "__init__"
-CampaignOptions.__init__ = _campaign_init  # type: ignore[method-assign]
-
-
-def _campaign_prefilter(self: CampaignOptions) -> bool:
-    warnings.warn(
-        "CampaignOptions.prefilter is deprecated; read "
-        "options.oracle_spec.prefilter instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.oracle_spec.prefilter
-
-
-CampaignOptions.prefilter = property(_campaign_prefilter)  # type: ignore[attr-defined]
 
 
 @dataclass
@@ -281,7 +239,7 @@ def _setup_worker(payload: _ShardPayload):
     return payload, harness, generator
 
 
-def _run_shard(state, shard_index: int) -> dict:
+def _fuzz_shard(state, shard_index: int) -> dict:
     payload, harness, generator = state
     opts = payload.options
     found: list[dict] = []
@@ -398,7 +356,7 @@ def _run_campaign(options: CampaignOptions, tracer: Tracer) -> CampaignReport:
         payload = _ShardPayload(options, plan.count)
         task = FanoutTask(
             setup=_setup_worker,
-            work=_run_shard,
+            work=_fuzz_shard,
             payload=payload,
             shard_count=plan.count,
         )

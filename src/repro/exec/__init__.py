@@ -1,10 +1,12 @@
-"""Sharded multiprocess synthesis runtime.
+"""The synthesis runtime: every synthesis run goes through this package.
 
 The synthesis loop is embarrassingly parallel — every candidate's
 minimality check is independent — so this package splits the candidate
-space into deterministic shards, fans them out over a worker pool, and
-merges the streams back into suites byte-identical to the sequential
-run.  Shard results double as checkpoints, so a killed run resumes.
+space into deterministic shards, runs them in-process or fans them out
+over a worker pool, and merges the streams back into suites
+byte-identical for every shard partition.  A plain ``jobs=1`` run is
+one in-process shard.  Shard results double as checkpoints, so a killed
+run resumes.
 
 Users normally reach this through the public API::
 
@@ -15,11 +17,13 @@ Users normally reach this through the public API::
 Modules:
 
 * :mod:`repro.exec.sharding`   — shard planning / over-partitioning
-* :mod:`repro.exec.worker`     — per-process pipeline and shard loop
+* :mod:`repro.exec.worker`     — per-process pipeline and the one
+  candidate loop
 * :mod:`repro.exec.merge`      — order-restoring deterministic merge
 * :mod:`repro.exec.checkpoint` — JSONL shard store with run fingerprint
-* :mod:`repro.exec.runtime`    — the pool driver tying it together
+* :mod:`repro.exec.runtime`    — the entry point tying it together
 * :mod:`repro.exec.fanout`     — generic deterministic shard fan-out
+  (the one process pool)
 """
 
 from repro.exec.checkpoint import (

@@ -30,7 +30,8 @@ __all__ = [
     "saved_shard_count",
 ]
 
-_META_VERSION = 2
+#: v3: records carry a canonical-form ``digest``; stats list ``firsts``
+_META_VERSION = 3
 _META_NAME = "meta.json"
 _SHARDS_NAME = "shards.jsonl"
 
@@ -43,8 +44,9 @@ def run_fingerprint(task: WorkerTask, opts: SynthesisOptions) -> dict:
     """The identity a checkpoint directory is bound to.
 
     Everything that changes the per-shard output is included; knobs that
-    only change scheduling (``jobs``) or reporting (``progress``) are
-    deliberately left out so a resume may use a different worker count.
+    only change scheduling (``jobs``) or reporting (``progress_events``)
+    are deliberately left out so a resume may use a different worker
+    count.
     """
     reject = task.reject
     if callable(reject):

@@ -1,11 +1,10 @@
 """Generic deterministic shard fan-out.
 
-:mod:`repro.exec.runtime` hard-wires the synthesis pipeline into its
-worker pool.  Other shardable workloads (the differential-testing
-campaigns of :mod:`repro.difftest`) need the same machinery — build
+Every shardable workload in the package — the synthesis runtime of
+:mod:`repro.exec.runtime` and the differential-testing campaigns of
+:mod:`repro.difftest` — fans out through one pool shape: build
 per-process state once via a pool initializer, ship only shard indices
-across the pipe, restore a deterministic order afterwards — without the
-synthesis-specific payload.  This module factors that shape out.
+across the pipe, restore a deterministic order afterwards.
 
 A :class:`FanoutTask` names two module-level functions (picklable by
 reference under both fork and spawn start methods):
@@ -13,11 +12,12 @@ reference under both fork and spawn start methods):
 * ``setup(payload) -> state`` — runs once per worker process;
 * ``work(state, shard_index) -> result`` — runs once per shard.
 
-:func:`run_fanout` executes every shard and returns the results ordered
-by shard index, so the caller's merge is independent of pool scheduling.
-``jobs=1`` runs in-process with no pool at all — the two paths produce
-identical results, which is what lets callers promise ``--jobs N``
-output is byte-identical to sequential.
+:func:`run_fanout` executes the requested shards and returns the
+results ordered by shard index, so the caller's merge is independent of
+pool scheduling; an optional callback sees each result as it lands
+(checkpointing, progress).  ``jobs=1`` runs in-process with no pool at
+all — the two paths produce identical results, which is what lets
+callers promise ``--jobs N`` output is byte-identical to sequential.
 
 A second shape lives here for long-lived hosts: :class:`ResidentProcess`
 runs a :class:`ResidentTask` in one dedicated child process that
@@ -29,7 +29,7 @@ daemon's process-backed worker pool is built on.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -63,29 +63,54 @@ class FanoutTask:
             )
 
 
-def run_fanout(task: FanoutTask, jobs: int = 1) -> list[Any]:
-    """Run every shard of ``task`` over ``jobs`` workers.
+def run_fanout(
+    task: FanoutTask,
+    jobs: int = 1,
+    indices: Iterable[int] | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+) -> list[Any]:
+    """Run shards of ``task`` over ``jobs`` workers.
 
-    Returns one result per shard, ordered by shard index regardless of
-    completion order.
+    ``indices`` picks the shards to run (default: all of them — a
+    resumed run passes only the pending ones); ``on_result(index,
+    result)`` is called in the parent as each shard lands, in completion
+    order.  Returns one result per requested shard, ordered by shard
+    index regardless of completion order.  No shards to run means no
+    setup and no pool.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    pending = list(range(task.shard_count) if indices is None else indices)
+    if not pending:
+        return []
     if jobs == 1:
         state = task.setup(task.payload)
-        return [task.work(state, i) for i in range(task.shard_count)]
-    import multiprocessing as mp
-
-    with mp.Pool(
-        processes=min(jobs, task.shard_count),
-        initializer=_init_worker,
-        initargs=(task,),
-    ) as pool:
-        indexed = list(
-            pool.imap_unordered(_run_shard, range(task.shard_count))
+        landed = _land(
+            ((index, task.work(state, index)) for index in pending), on_result
         )
-    indexed.sort(key=lambda pair: pair[0])
-    return [result for _, result in indexed]
+    else:
+        import multiprocessing as mp
+
+        with mp.Pool(
+            processes=min(jobs, len(pending)),
+            initializer=_pool_init,
+            initargs=(task,),
+        ) as pool:
+            landed = _land(pool.imap_unordered(_pool_work, pending), on_result)
+    landed.sort(key=lambda pair: pair[0])
+    return [result for _, result in landed]
+
+
+def _land(
+    stream: Iterable[tuple[int, Any]],
+    on_result: Callable[[int, Any], None] | None,
+) -> list[tuple[int, Any]]:
+    landed = []
+    for index, result in stream:
+        if on_result is not None:
+            on_result(index, result)
+        landed.append((index, result))
+    return landed
 
 
 # -- resident worker processes ------------------------------------------------
@@ -237,18 +262,18 @@ class ResidentProcess:
         self._reap()
 
 
-# -- pool plumbing (mirrors repro.exec.worker) --------------------------------
+# -- pool plumbing --------------------------------------------------------------
 
-_TASK: FanoutTask | None = None
-_STATE: Any = None
-
-
-def _init_worker(task: FanoutTask) -> None:
-    global _TASK, _STATE
-    _TASK = task
-    _STATE = task.setup(task.payload)
+_pool_task: FanoutTask | None = None
+_pool_state: Any = None
 
 
-def _run_shard(shard_index: int) -> tuple[int, Any]:
-    assert _TASK is not None, "fanout pool was started without _init_worker"
-    return shard_index, _TASK.work(_STATE, shard_index)
+def _pool_init(task: FanoutTask) -> None:
+    global _pool_task, _pool_state
+    _pool_task = task
+    _pool_state = task.setup(task.payload)
+
+
+def _pool_work(shard_index: int) -> tuple[int, Any]:
+    assert _pool_task is not None, "fanout pool was started without _pool_init"
+    return shard_index, _pool_task.work(_pool_state, shard_index)

@@ -5,7 +5,9 @@ record carries its global ``(item, pos)`` enumeration coordinate, so
 sorting the union of all records by that key reconstructs the exact
 sequential candidate order.  Replaying suite insertion in that order —
 including the cross-shard canonical-form dedup the per-shard loops could
-not see — makes the merged suites *byte-identical* to a ``jobs=1`` run:
+not see: only a form's global first occurrence counts, found by the
+canonical-form digests the shards report — makes the merged suites
+*byte-identical* to a one-shard run:
 same representatives, same witnesses, same JSON serialization.
 """
 
@@ -14,11 +16,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.core.canonical import canonical_form
 from repro.core.suite import TestSuite, outcome_from_dict, test_from_dict
 from repro.core.synthesis import SynthesisOptions, SynthesisResult
-from repro.exec.worker import fingerprint
-from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
 from repro.obs import derive_rates, format_event, header_event, merge_metrics
 
@@ -89,23 +88,28 @@ def merge_shards(
     }
     union = TestSuite(model.name, "union", opts.exact_symmetry)
 
+    # Where the whole run first met each canonical form.  The sequential
+    # loop checks only that occurrence, so a minimal record from any
+    # later one — a symmetric twin in another shard — is dropped, even
+    # when the first occurrence was not minimal (the criterion need not
+    # agree across a symmetry class).
+    first: dict[str, tuple[int, int]] = {}
+    for result in shard_results:
+        for digest, item, pos in result["stats"]["firsts"]:
+            if digest not in first or (item, pos) < first[digest]:
+                first[digest] = (item, pos)
     records = sorted(
         (rec for result in shard_results for rec in result["records"]),
         key=lambda rec: (rec["item"], rec["pos"]),
     )
-    seen: set[LitmusTest] = set()
     n_minimal = 0
     merged_records: list[dict] = []
     for rec in records:
-        test = test_from_dict(rec["test"])
-        canon = canonical_form(test)
-        if canon in seen:
-            # A symmetric twin from another shard already claimed this
-            # class; the sequential loop would never have re-checked it.
+        if first[rec["digest"]] != (rec["item"], rec["pos"]):
             continue
-        seen.add(canon)
         n_minimal += 1
-        merged_records.append({**rec, "digest": fingerprint(canon)})
+        merged_records.append(rec)
+        test = test_from_dict(rec["test"])
         witness = None
         for name in rec["minimal_for"]:
             witness = outcome_from_dict(rec["witnesses"][name])
@@ -114,13 +118,11 @@ def merge_shards(
         union.add(test, witness, rec["minimal_for"])
 
     n_candidates = 0
-    unique_digests: set[str] = set()
     axiom_seconds = {name: 0.0 for name in axiom_names}
     cpu_seconds = time.perf_counter() - merge_t0
     for result in shard_results:
         stats = result["stats"]
         n_candidates += stats["candidates"]
-        unique_digests.update(stats["digests"])
         cpu_seconds += stats["cpu_seconds"]
         for name, secs in stats["axiom_seconds"].items():
             if name in axiom_seconds:
@@ -139,7 +141,7 @@ def merge_shards(
             opts,
             merged_records,
             candidates=n_candidates,
-            unique=len(unique_digests),
+            unique=len(first),
         )
 
     return SynthesisResult(
@@ -148,7 +150,7 @@ def merge_shards(
         per_axiom=per_axiom,
         union=union,
         candidates=n_candidates,
-        unique_candidates=len(unique_digests),
+        unique_candidates=len(first),
         minimal_tests=n_minimal,
         wall_seconds=wall_seconds,
         cpu_seconds=cpu_seconds,

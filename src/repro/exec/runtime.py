@@ -1,43 +1,41 @@
-"""The sharded multiprocess synthesis driver.
+"""The synthesis runtime: every run, sequential or parallel, goes here.
 
 ``run_sharded(model, opts)`` is what :func:`repro.core.synthesis.synthesize`
-dispatches to for ``jobs > 1`` or checkpointed runs:
+(and :func:`~repro.core.synthesis.run_sequential`) dispatch to:
 
-1. plan the shard partition (:mod:`repro.exec.sharding`);
+1. plan the shard partition (:mod:`repro.exec.sharding`) — a plain
+   ``jobs=1`` run with no shard count, checkpoint or trace is a single
+   in-process shard, reported as ``shard_count = 0``;
 2. replay completed shards from the checkpoint store, if any;
-3. fan the remaining shards out over a ``multiprocessing`` pool whose
-   workers each own a full pipeline (:mod:`repro.exec.worker`),
-   checkpointing and reporting progress as each shard streams back;
+3. fan the remaining shards out with :func:`repro.exec.fanout.run_fanout`
+   — in-process at ``jobs=1`` (where a resident checker, an explicit
+   candidate stream and periodic ``enumerate`` progress events are
+   available), over worker processes otherwise — checkpointing and
+   reporting progress as each shard lands;
 4. merge everything deterministically (:mod:`repro.exec.merge`).
 
-The merged result is byte-identical to the sequential run over the same
-options — parallelism and resume are pure wall-clock concerns.
+The merged result is byte-identical for every job count and shard
+partition — parallelism and resume are pure wall-clock concerns.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 import time
 
-from repro.core.minimality import CriterionMode
+from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.core.synthesis import SynthesisOptions, SynthesisResult
 from repro.exec.checkpoint import (
     CheckpointStore,
     run_fingerprint,
     saved_shard_count,
 )
+from repro.exec.fanout import FanoutTask, run_fanout
 from repro.exec.merge import merge_shards
-from repro.exec.sharding import plan_shards
-from repro.exec.worker import (
-    WorkerTask,
-    _WorkerState,
-    compute_shard,
-    init_worker,
-    run_shard,
-)
+from repro.exec.sharding import ShardPlan, plan_shards
+from repro.exec.worker import WorkerTask, compute_shard, start_worker
 from repro.models.base import MemoryModel
 from repro.obs import (
     TOOL_NAME,
@@ -96,9 +94,26 @@ def _worker_task(model: MemoryModel, opts: SynthesisOptions, shard_count: int) -
     )
 
 
-def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
-    """Run one synthesis over shards, in parallel when ``jobs > 1``."""
-    if opts.candidates is not None:
+def run_sharded(
+    model: MemoryModel,
+    opts: SynthesisOptions,
+    checker: MinimalityChecker | None = None,
+) -> SynthesisResult:
+    """Run one synthesis over shards, in parallel when ``jobs > 1``.
+
+    ``checker`` is a resident :class:`MinimalityChecker` built for the
+    same model and oracle configuration (see
+    :func:`repro.core.synthesis.build_checker`); in-process runs use it
+    in place of a fresh one, so its caches serve — and outlive — this
+    run.  Worker processes cannot share it and build their own.
+    """
+    sharded = (
+        opts.jobs > 1
+        or opts.shards is not None
+        or opts.checkpoint_dir is not None
+        or opts.trace_dir is not None
+    )
+    if opts.candidates is not None and sharded:
         raise ValueError(
             "an explicit candidates stream cannot be sharded; "
             "run it with jobs=1 and no checkpoint_dir"
@@ -118,7 +133,11 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
                 # partition: without an explicit shard count, adopt the
                 # checkpoint's.
                 shards = saved_shard_count(opts.checkpoint_dir)
-            plan = plan_shards(opts.jobs, shards)
+            plan = (
+                plan_shards(opts.jobs, shards)
+                if sharded
+                else ShardPlan(jobs=1, count=1)
+            )
             task = _worker_task(model, opts, plan.count)
 
         with tracer.span("replay"):
@@ -131,25 +150,22 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
                 completed = store.load()
             pending = [i for i in plan.indices() if i not in completed]
 
-        progress = opts.progress
         events = opts.progress_events
         candidates_done = sum(
             r["stats"]["candidates"] for r in completed.values()
         )
 
-        def finish(result: dict) -> None:
+        def finish(index: int, result: dict) -> None:
             nonlocal candidates_done
-            completed[result["shard"]] = result
+            completed[index] = result
             candidates_done += result["stats"]["candidates"]
             if store is not None:
                 store.record(result)
-            if progress is not None:
-                progress(candidates_done)
-            if events is not None:
+            if events is not None and sharded:
                 events(
                     {
                         "phase": "shard",
-                        "shard": result["shard"],
+                        "shard": index,
                         "shards": plan.count,
                         "candidates": result["stats"]["candidates"],
                         "unique": result["stats"]["unique"],
@@ -159,29 +175,47 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
                 )
 
         with tracer.span("shards", pending=len(pending)):
-            if opts.jobs == 1:
-                # In-process: same shard/merge/checkpoint path, no pool
-                # overhead.
-                state = _WorkerState(task)
-                for index in pending:
-                    finish(compute_shard(state, index))
-            elif pending:
-                with multiprocessing.get_context().Pool(
-                    processes=min(opts.jobs, len(pending)),
-                    initializer=init_worker,
-                    initargs=(task,),
-                ) as pool:
-                    for result in pool.imap_unordered(
-                        run_shard, pending, chunksize=1
-                    ):
-                        finish(result)
+            # Only an in-process run can hand the worker process-local
+            # values: the model object, a resident checker, a candidate
+            # stream, a callback.
+            local = (
+                dict(
+                    model=model,
+                    checker=checker,
+                    candidates=opts.candidates,
+                    events=events,
+                )
+                if opts.jobs == 1
+                else {}
+            )
+            run_fanout(
+                FanoutTask(
+                    setup=start_worker,
+                    work=compute_shard,
+                    payload=(task, local),
+                    shard_count=plan.count,
+                ),
+                opts.jobs,
+                indices=pending,
+                on_result=finish,
+            )
 
         wall_seconds = time.perf_counter() - start
         with tracer.span("merge"):
-            return merge_shards(
+            result = merge_shards(
                 model,
                 opts,
                 list(completed.values()),
                 wall_seconds=wall_seconds,
-                shard_count=plan.count,
+                shard_count=plan.count if sharded else 0,
             )
+    if events is not None:
+        events(
+            {
+                "phase": "finish",
+                "candidates": result.candidates,
+                "unique": result.unique_candidates,
+                "minimal": result.minimal_tests,
+            }
+        )
+    return result

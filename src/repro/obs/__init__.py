@@ -17,6 +17,7 @@ per-phase/per-shard tables behind the ``repro report`` subcommand.
 """
 
 from .metrics import (
+    LEVEL_METRICS,
     MetricsRegistry,
     Stats,
     current_registry,
@@ -51,6 +52,7 @@ __all__ = [
     "use_registry",
     "derive_rates",
     "merge_metrics",
+    "LEVEL_METRICS",
     "Report",
     "load_report",
     "TOOL_NAME",

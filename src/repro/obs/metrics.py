@@ -17,6 +17,7 @@ by summing ``as_metrics()`` snapshots).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Protocol, runtime_checkable
 
 __all__ = [
@@ -26,7 +27,15 @@ __all__ = [
     "use_registry",
     "derive_rates",
     "merge_metrics",
+    "LEVEL_METRICS",
 ]
+
+#: Stats keys that are *levels* read once when the component starts, not
+#: counters — the CNF cache's count of entries already on disk.  A
+#: per-shard delta keeps their absolute value and :func:`merge_metrics`
+#: takes their maximum, so the merged figure is the same at any shard or
+#: worker count.
+LEVEL_METRICS = frozenset({"compile_warm_entries"})
 
 
 @runtime_checkable
@@ -107,32 +116,42 @@ class MetricsRegistry:
         }
 
 
-_REGISTRY_STACK: list[MetricsRegistry] = [MetricsRegistry()]
+#: the active registry: one process-wide default, overridden per thread
+#: (and per asyncio task) by :func:`use_registry` — in-process synthesis
+#: jobs on sibling service threads each count into their own
+_CURRENT: ContextVar[MetricsRegistry] = ContextVar(
+    "repro_metrics_registry", default=MetricsRegistry()
+)
 
 
 def current_registry() -> MetricsRegistry:
-    """The registry active for this process (innermost ``use_registry``)."""
-    return _REGISTRY_STACK[-1]
+    """The registry active here (innermost ``use_registry`` of this
+    thread, else the process-wide default)."""
+    return _CURRENT.get()
 
 
 @contextmanager
 def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily make ``registry`` the process-local default."""
-    _REGISTRY_STACK.append(registry)
+    """Temporarily make ``registry`` the current one for this thread."""
+    token = _CURRENT.set(registry)
     try:
         yield registry
     finally:
-        _REGISTRY_STACK.pop()
+        _CURRENT.reset(token)
 
 
 def merge_metrics(*snapshots: dict[str, int | float]) -> dict[str, int | float]:
-    """Key-wise sum of raw metric snapshots (rates are never summed)."""
+    """Key-wise sum of raw metric snapshots (rates are never summed;
+    :data:`LEVEL_METRICS` fold by maximum)."""
     total: dict[str, int | float] = {}
     for snap in snapshots:
         for key, value in snap.items():
             if key.endswith("_rate"):
                 continue
-            total[key] = total.get(key, 0) + value
+            if key in LEVEL_METRICS:
+                total[key] = max(total.get(key, 0), value)
+            else:
+                total[key] = total.get(key, 0) + value
     return total
 
 

@@ -215,6 +215,33 @@ class TestWarmCompileLint:
             == []
         )
 
+    def test_sharded_result_feeds_sat009(self, tmp_path):
+        # A directory of stale-schema entries is warm, yet every lookup
+        # misses (and the stale files are never overwritten): the merged
+        # stats of a two-process run must still carry the warm-entry
+        # count, or SAT009 could never fire on a sharded run.
+        import json
+
+        from repro.analysis import lint_warm_compile
+        from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
+        from repro.models.registry import get_model
+
+        spec = OracleSpec(oracle="relational", cnf_cache_dir=str(tmp_path))
+        synthesize(get_model("tso"), SynthesisOptions(bound=3, oracle_spec=spec))
+        entries = sorted(tmp_path.glob("*.json"))
+        for path in entries:
+            data = json.loads(path.read_text())
+            data["schema"] = -1
+            path.write_text(json.dumps(data))
+        result = synthesize(
+            get_model("tso"),
+            SynthesisOptions(bound=3, oracle_spec=spec, jobs=2, shards=2),
+        )
+        assert result.shard_count == 2
+        assert result.oracle_stats["compile_warm_entries"] == len(entries)
+        report = lint_warm_compile(result.oracle_stats, subject="tso")
+        assert [d.id for d in report] == ["SAT009"]
+
     def test_warm_idle_run_is_clean(self):
         from repro.analysis import lint_warm_compile
 

@@ -122,19 +122,27 @@ class TestSynthesisOptions:
         )
         assert list(res.per_axiom) == ["sc_per_loc"]
 
-    def test_progress_callback(self):
-        calls = []
-        synthesize(
+    def test_progress_events(self):
+        events = []
+        res = synthesize(
             get_model("tso"),
             SynthesisOptions(
                 bound=4,
                 config=EnumerationConfig(max_events=4, max_addresses=2),
-                progress=calls.append,
+                progress_events=events.append,
             ),
         )
-        # at least one progress tick for >1000 candidates... the bound-4
-        # space may be smaller; just assert no crash and monotonicity
-        assert calls == sorted(calls)
+        # running enumerate counts (one per 1000 candidates) climb
+        # monotonically; the terminal finish event carries the totals
+        counts = [e["candidates"] for e in events if e["phase"] == "enumerate"]
+        assert counts == sorted(counts)
+        assert len(counts) == res.candidates // 1000
+        assert events[-1] == {
+            "phase": "finish",
+            "candidates": res.candidates,
+            "unique": res.unique_candidates,
+            "minimal": res.minimal_tests,
+        }
 
     def test_sc_model_synthesis(self):
         res = synthesize(

@@ -58,5 +58,22 @@ class TestRunFanout:
         with pytest.raises(RuntimeError, match="shard 0 exploded"):
             run_fanout(_task(work=_raise), jobs=1)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_indices_and_on_result(self, jobs):
+        # a resumed run asks for its pending shards only, and sees each
+        # result as it lands (completion order) before the ordered list
+        landed = []
+        results = run_fanout(
+            _task(),
+            jobs=jobs,
+            indices=[4, 1, 3],
+            on_result=lambda index, result: landed.append((index, result)),
+        )
+        assert results == [101, 103, 104]
+        assert sorted(landed) == [(1, 101), (3, 103), (4, 104)]
+
+    def test_no_pending_shards_runs_nothing(self):
+        assert run_fanout(_task(work=_raise), jobs=2, indices=[]) == []
+
     def test_more_jobs_than_shards(self):
         assert run_fanout(_task(shards=2), jobs=8) == [100, 101]

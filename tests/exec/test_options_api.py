@@ -94,13 +94,15 @@ class TestResultSchema:
         assert counts["wall_seconds"] == payload["wall_seconds"]
         assert counts["cpu_seconds"] == payload["cpu_seconds"]
 
-    def test_elapsed_seconds_alias_warns(self):
+    def test_elapsed_seconds_alias_was_removed(self):
+        # Deprecated in 1.1, removed in 1.3: read wall_seconds (or
+        # cpu_seconds) instead.
         result = synthesize(
             get_model("tso"), SynthesisOptions(bound=3, config=_config())
         )
-        with pytest.deprecated_call():
-            alias = result.elapsed_seconds
-        assert alias == result.wall_seconds
+        with pytest.raises(AttributeError, match="elapsed_seconds"):
+            result.elapsed_seconds  # noqa: B018
+        assert result.wall_seconds >= 0
 
     def test_summary_mentions_wall_and_cpu(self):
         result = synthesize(

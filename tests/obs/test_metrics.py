@@ -1,5 +1,8 @@
 """MetricsRegistry, the Stats protocol, merge_metrics and derive_rates."""
 
+import sys
+import threading
+
 from repro.obs import (
     MetricsRegistry,
     Stats,
@@ -76,6 +79,38 @@ class TestMetricsRegistry:
         assert "only_inner" not in outer.as_metrics()
         assert inner.as_metrics()["only_inner"] == 1
 
+    def test_use_registry_is_per_thread(self):
+        # In-process synthesis jobs on sibling service threads each
+        # scope their own registry; all of them inside use_registry at
+        # once must still count into their own.
+        threads, counts = 8, 500
+        barrier = threading.Barrier(threads, timeout=30)
+        registries = [MetricsRegistry() for _ in range(threads)]
+        outer = current_registry()
+
+        def work(registry):
+            with use_registry(registry):
+                barrier.wait()
+                for _ in range(counts):
+                    current_registry().count("n")
+                barrier.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [
+                threading.Thread(target=work, args=(r,)) for r in registries
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.as_metrics().get("n") for r in registries] == [counts] * threads
+        assert current_registry() is outer
+
 
 class TestMergeAndRates:
     def test_merge_sums_keywise_and_skips_rates(self):
@@ -84,6 +119,16 @@ class TestMergeAndRates:
             {"a": 4, "c": 1},
         )
         assert merged == {"a": 5, "b": 2.5, "c": 1}
+
+    def test_level_metrics_merge_by_maximum(self):
+        # every worker's cache over one directory reports the same
+        # warm-entry level; the merge must not multiply it
+        merged = merge_metrics(
+            {"compile_warm_entries": 39, "compile_hits": 1},
+            {"compile_warm_entries": 39, "compile_hits": 2},
+            {"compile_warm_entries": 0, "compile_hits": 0},
+        )
+        assert merged == {"compile_warm_entries": 39, "compile_hits": 3}
 
     def test_analysis_rate_counts_misses(self):
         # "analyses" counts cache MISSES: total calls = hits + misses.

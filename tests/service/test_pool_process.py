@@ -11,7 +11,12 @@ import time
 import pytest
 
 from repro.core.enumerator import EnumerationConfig
-from repro.core.synthesis import OracleSpec, synthesize
+from repro.core.synthesis import (
+    OracleSpec,
+    build_checker,
+    run_sequential,
+    synthesize,
+)
 from repro.exec.fanout import (
     RemoteJobError,
     ResidentProcess,
@@ -19,6 +24,7 @@ from repro.exec.fanout import (
     WorkerDied,
 )
 from repro.models.registry import get_model
+from repro.obs import LEVEL_METRICS
 from repro.service.client import Client, ServiceError
 from repro.service.jobs import JobManager
 from repro.service.pool import ProcessResidentWorker
@@ -117,6 +123,31 @@ class TestPoolGrid:
                     ), axiom
         finally:
             manager.close()
+
+
+    @pytest.mark.parametrize("oracle", ["explicit", "relational"])
+    def test_resident_checker_reruns_match_local(self, oracle):
+        """The pool's in-process path: one warm checker reused across
+        ``run_sequential`` calls.  Every call returns the local run's
+        suites, and reports its own oracle work, not the checker's
+        running totals."""
+        request = tiny_request(bound=3, oracle_spec=OracleSpec(oracle=oracle))
+        model, opts = get_model(request.model), request.options
+        local = synthesize(model, opts)
+        warm = build_checker(model, opts.mode, opts.oracle_spec)
+        first = run_sequential(model, opts, checker=warm)
+        second = run_sequential(model, opts, checker=warm)
+        for result in (first, second):
+            assert result.union.to_json() == local.union.to_json()
+            for axiom, suite in local.per_axiom.items():
+                assert result.per_axiom[axiom].to_json() == suite.to_json()
+        assert first.oracle_stats == local.oracle_stats
+        assert second.oracle_stats["analyses"] < first.oracle_stats["analyses"]
+        for key, total in warm.oracle.as_metrics().items():
+            if key not in LEVEL_METRICS:
+                assert (
+                    first.oracle_stats[key] + second.oracle_stats[key] == total
+                ), key
 
 
 # -- streamed progress events --------------------------------------------------

@@ -75,7 +75,7 @@ class TestSynthesisRequest:
 
     def test_local_only_progress_rejected(self):
         req = SynthesisRequest(
-            "tso", SynthesisOptions(bound=3, progress=lambda n: None)
+            "tso", SynthesisOptions(bound=3, progress_events=lambda e: None)
         )
         with pytest.raises(ValueError, match="process-local"):
             req.to_payload()

@@ -1,5 +1,8 @@
 """Public API surface tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -33,10 +36,24 @@ class TestPublicAPI:
                 config=repro.EnumerationConfig(max_events=3, max_addresses=1),
             )
 
-    def test_loose_oracle_fields_warn_but_bundle_into_spec(self):
-        with pytest.deprecated_call():
-            options = repro.SynthesisOptions(bound=3, oracle="relational")
-        assert options.oracle_spec == repro.OracleSpec(oracle="relational")
+    def test_loose_oracle_fields_were_removed(self):
+        # Deprecated in 1.2, removed in 1.3: the TypeError names the
+        # OracleSpec replacement, for both options types.
+        options = repro.SynthesisOptions(bound=3)
+        for loose in ("oracle", "incremental", "cnf_cache_dir", "prefilter"):
+            with pytest.raises(TypeError, match=f"{loose}.*OracleSpec"):
+                repro.SynthesisOptions(bound=3, **{loose: None})
+            with pytest.raises(TypeError, match=f"{loose}.*OracleSpec"):
+                repro.CampaignOptions("tso", **{loose: None})
+            assert not hasattr(options, loose)
+
+    def test_version_matches_pyproject(self):
+        pyproject = (
+            Path(__file__).resolve().parent.parent / "pyproject.toml"
+        ).read_text()
+        match = re.search(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == repro.__version__
 
     def test_build_and_check_a_test(self):
         test = repro.LitmusTest(
