@@ -6,10 +6,21 @@ The minimality criterion asks the same two questions over and over:
 * is a (partial) outcome observable in some valid execution of a test?
 
 The :class:`ExplicitOracle` answers both by exhaustive execution
-enumeration, memoizing per-test analyses.  During synthesis the same
-relaxed tests recur constantly (RI applied to structurally similar
-candidates produces identical tests), so the observability cache hits
-hard.
+enumeration, memoizing per-test analyses in least-recently-used caches.
+During synthesis the same relaxed tests recur constantly (RI applied to
+structurally similar candidates produces identical tests), so the
+observability cache hits hard.
+
+An analysis runs on the test's compiled
+:class:`~repro.semantics.enumerate.ExecutionKernel`: outcomes are
+tracked as integer ids, and an execution's view — built through
+:meth:`MemoryModel.view <repro.models.base.MemoryModel.view>` with the
+kernel's precomputed ``rf``/``co``/``fr``/``sc`` — is only materialized
+when an axiom result can still change the analysis.  The skip rule is
+exact: an execution whose outcome is already model-valid is skipped
+outright, and once an execution is known not to be model-valid, an axiom
+whose valid set already holds its outcome is not evaluated.
+``stats["executions"]`` still counts every well-formed execution.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from repro.litmus.execution import Execution, Outcome
 from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
 from repro.obs import derive_rates
-from repro.semantics.enumerate import enumerate_executions
+from repro.semantics.enumerate import ExecutionKernel, enumerate_executions
 
 __all__ = ["TestAnalysis", "ExplicitOracle"]
 
@@ -74,11 +85,19 @@ _MISSING = _Missing()
 
 
 class _LRU(OrderedDict):
-    """A minimal LRU mapping used for the oracle's caches."""
+    """A minimal LRU mapping used for the oracle's caches: :meth:`recall`
+    refreshes a hit's recency, :meth:`remember` evicts the least
+    recently used entry."""
 
     def __init__(self, maxsize: int):
         super().__init__()
         self.maxsize = maxsize
+
+    def recall(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
 
     def remember(self, key, value):
         self[key] = value
@@ -145,30 +164,69 @@ class ExplicitOracle:
 
     def analyze(self, test: LitmusTest) -> TestAnalysis:
         """Compute (or recall) the outcome landscape of a test."""
-        cached = self._analysis.get(test)
+        cached = self._analysis.recall(test)
         if cached is not None:
             self.stats["analysis_hits"] += 1
             return cached
         self.stats["analyses"] += 1
-        all_outcomes: set[Outcome] = set()
-        model_valid: set[Outcome] = set()
-        axiom_valid: dict[str, set[Outcome]] = {
-            name: set() for name in self._axioms
-        }
-        for execution in self.executions(test):
-            self.stats["executions"] += 1
-            outcome = execution.outcome
-            all_outcomes.add(outcome)
-            bits = self.axiom_bits(execution)
-            for name, ok in bits.items():
-                if ok:
-                    axiom_valid[name].add(outcome)
-            if all(bits.values()):
-                model_valid.add(outcome)
+        kernel = ExecutionKernel(test, with_sc=self.model.uses_sc_order)
+        self.stats["executions"] += kernel.size
+        names = tuple(self._axioms)
+        fns = tuple(self._axioms.values())
+        # Outcome ids: rf-choice index * len(finals) + finals index.
+        n_finals = len(kernel.finals)
+        model_valid: set[int] = set()
+        axiom_valid: tuple[set[int], ...] = tuple(set() for _ in fns)
+        # pairs of (axiom function, its valid set)
+        checks = tuple(zip(fns, axiom_valid))
+        view_of = self.model.view
+        static = kernel.static
+        fr_of = kernel.fr
+        sc_choices = kernel.sc_choices
+        for base, rf_choice in enumerate(kernel.rf_choices):
+            rf, rf_rel = rf_choice[0], rf_choice[1]
+            base *= n_finals
+            for co, co_rel, finals_index in kernel.co_choices:
+                oid = base + finals_index
+                if oid in model_valid:
+                    continue
+                fr = fr_of(rf_choice, co_rel)
+                for sc, sc_rel in sc_choices:
+                    if oid in model_valid:
+                        break
+                    view = view_of(
+                        Execution(test, rf, co, sc),
+                        static,
+                        rf=rf_rel,
+                        co=co_rel,
+                        fr=fr,
+                        sc=sc_rel,
+                    )
+                    # Axioms whose valid set lacks the outcome first: they
+                    # run regardless, and one failure settles validity.
+                    valid = True
+                    known = []
+                    for fn, holds in checks:
+                        if oid in holds:
+                            known.append(fn)
+                        elif fn(view):
+                            holds.add(oid)
+                        else:
+                            valid = False
+                    if valid and all(fn(view) for fn in known):
+                        model_valid.add(oid)
+        outcomes = [
+            Outcome(rf, finals)
+            for rf, _, _, _ in kernel.rf_choices
+            for finals in kernel.finals
+        ]
         analysis = TestAnalysis(
-            frozenset(all_outcomes),
-            frozenset(model_valid),
-            {k: frozenset(v) for k, v in axiom_valid.items()},
+            frozenset(outcomes),
+            frozenset(outcomes[i] for i in model_valid),
+            {
+                name: frozenset(outcomes[i] for i in holds)
+                for name, holds in zip(names, axiom_valid)
+            },
         )
         return self._analysis.remember(test, analysis)
 
@@ -182,7 +240,7 @@ class ExplicitOracle:
         recur constantly during synthesis).
         """
         key = (test, constraint)
-        cached = self._observe.get(key)
+        cached = self._observe.recall(key)
         if cached is not None:
             self.stats["observe_hits"] += 1
             return cached

@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from repro.litmus.execution import Execution
 from repro.models.base import Axiom, MemoryModel, Vocabulary
 from repro.semantics.rel import Rel
-from repro.semantics.relations import RelationView
+from repro.semantics.relations import RelationView, StaticRelations
 
 __all__ = [
     "MutantModel",
@@ -113,10 +113,15 @@ class MutantModel(MemoryModel):
         # the mutated axiom set.
         return self._axioms
 
-    def view(self, execution: Execution) -> RelationView:
+    def view(
+        self,
+        execution: Execution,
+        static: StaticRelations | None = None,
+        **precomputed: Rel,
+    ) -> RelationView:
         if self._mutate_view:
-            return _EmptyFrView(execution)
-        return self.base.view(execution)
+            return _EmptyFrView(execution, static, **precomputed)
+        return self.base.view(execution, static, **precomputed)
 
     def __repr__(self) -> str:
         return f"<MutantModel {self.name}+{self.tag}>"

@@ -26,7 +26,8 @@ from repro.litmus.events import (
     Scope,
 )
 from repro.litmus.execution import Execution
-from repro.semantics.relations import RelationView
+from repro.semantics.rel import Rel
+from repro.semantics.relations import RelationView, StaticRelations
 
 __all__ = ["Axiom", "Vocabulary", "MemoryModel"]
 
@@ -123,9 +124,20 @@ class MemoryModel(abc.ABC):
 
     # -- convenience entry points -------------------------------------------------
 
-    def view(self, execution: Execution) -> RelationView:
-        """Relational view of an execution (override to specialize)."""
-        return RelationView(execution)
+    def view(
+        self,
+        execution: Execution,
+        static: StaticRelations | None = None,
+        **precomputed: Rel,
+    ) -> RelationView:
+        """Relational view of an execution (override to specialize).
+
+        ``static`` and ``precomputed`` (``rf``/``co``/``fr``/``sc``) are
+        the compiled execution kernel's shared and per-execution
+        relations; an override must pass them through to the view it
+        builds.
+        """
+        return RelationView(execution, static, **precomputed)
 
     def is_valid(self, execution: Execution) -> bool:
         """Does the execution satisfy every axiom of the model?"""

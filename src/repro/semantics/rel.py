@@ -14,11 +14,21 @@ transpose, ``r ^ None`` is not used — instead :meth:`Rel.plus` is ``^r``
 (transitive closure) and :meth:`Rel.star` is ``*r`` (reflexive transitive
 closure).  Composition (relational join ``.``) is :meth:`Rel.join` or the
 ``@`` operator.
+
+Operator results are built through an internal constructor that skips
+the public constructor's row-count check (an operator over two ``n``-row
+relations always yields ``n`` rows), and the element-wise set operations
+run through ``map`` over the row tuples.  :meth:`Rel.is_acyclic` never
+computes a closure: it repeatedly peels *sinks* (nodes with no edge into
+the remaining graph) as one bitmask per round, and the graph is acyclic
+iff peeling empties it.  That test runs once per axiom per execution in
+the explicit oracle, so it is the relation algebra's hottest operation.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import and_, invert, or_
 
 __all__ = ["Rel"]
 
@@ -48,6 +58,16 @@ class Rel:
         self.n = n
         self.rows = rows
         self._hash: int | None = None
+
+    @staticmethod
+    def _of(n: int, rows: tuple[int, ...]) -> Rel:
+        """Internal constructor for rows known to number ``n`` (operator
+        results and precompiled execution tables): no validation."""
+        rel = _new(Rel)
+        rel.n = n
+        rel.rows = rows
+        rel._hash = None
+        return rel
 
     # -- constructors ---------------------------------------------------
 
@@ -97,23 +117,28 @@ class Rel:
     # -- set algebra -----------------------------------------------------
 
     def __or__(self, other: Rel) -> Rel:
-        return Rel(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return _of(self.n, tuple(map(or_, self.rows, other.rows)))
 
     __add__ = __or__  # Alloy spells union "+"
 
     def __and__(self, other: Rel) -> Rel:
-        return Rel(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return _of(self.n, tuple(map(and_, self.rows, other.rows)))
 
     def __sub__(self, other: Rel) -> Rel:
-        return Rel(self.n, tuple(a & ~b for a, b in zip(self.rows, other.rows)))
+        return _of(
+            self.n, tuple(map(and_, self.rows, map(invert, other.rows)))
+        )
 
     def __invert__(self) -> Rel:
         """Transpose (Alloy ``~r``)."""
         rows = [0] * self.n
         for i, row in enumerate(self.rows):
-            for j in _iter_bits(row):
-                rows[j] |= 1 << i
-        return Rel(self.n, tuple(rows))
+            bit = 1 << i
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= bit
+                row ^= low
+        return _of(self.n, tuple(rows))
 
     transpose = __invert__
 
@@ -121,25 +146,33 @@ class Rel:
 
     def join(self, other: Rel) -> Rel:
         """Relational composition ``self ; other`` (Alloy ``.``)."""
-        out = [0] * self.n
         orows = other.rows
-        for i, row in enumerate(self.rows):
+        out = []
+        for row in self.rows:
             acc = 0
-            for j in _iter_bits(row):
-                acc |= orows[j]
-            out[i] = acc
-        return Rel(self.n, tuple(out))
+            while row:
+                low = row & -row
+                acc |= orows[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        return _of(self.n, tuple(out))
 
     __matmul__ = join
 
     def plus(self) -> Rel:
-        """Transitive closure (Alloy ``^r``), via doubling."""
-        cur = self
-        while True:
-            nxt = cur | cur.join(cur)
-            if nxt.rows == cur.rows:
-                return cur
-            cur = nxt
+        """Transitive closure (Alloy ``^r``), Warshall-style over rows:
+        after round ``k`` every row reaching ``k`` also reaches all of
+        ``k``'s successors."""
+        rows = list(self.rows)
+        for k in range(self.n):
+            succ = rows[k]
+            if not succ:
+                continue
+            bit = 1 << k
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | succ
+        return _of(self.n, tuple(rows))
 
     def star(self) -> Rel:
         """Reflexive transitive closure (Alloy ``*r``)."""
@@ -153,14 +186,14 @@ class Rel:
 
     def restrict_domain(self, mask: int) -> Rel:
         """Alloy ``set <: rel``: keep pairs whose source is in ``mask``."""
-        return Rel(
+        return _of(
             self.n,
             tuple(row if (mask >> i) & 1 else 0 for i, row in enumerate(self.rows)),
         )
 
     def restrict_range(self, mask: int) -> Rel:
         """Alloy ``rel :> set``: keep pairs whose target is in ``mask``."""
-        return Rel(self.n, tuple(row & mask for row in self.rows))
+        return _of(self.n, tuple(row & mask for row in self.rows))
 
     # -- predicates --------------------------------------------------------
 
@@ -171,8 +204,31 @@ class Rel:
         return all(not (row >> i) & 1 for i, row in enumerate(self.rows))
 
     def is_acyclic(self) -> bool:
-        """True iff the relation, viewed as a digraph, has no cycle."""
-        return self.plus().is_irreflexive()
+        """True iff the relation, viewed as a digraph, has no cycle.
+
+        Peels sinks: a node with no edge into the live set is on no
+        cycle, so each round drops every such node at once.  Nodes with
+        empty rows are sinks from the start.  A round that finds no sink
+        leaves a non-empty live set where every node has a successor,
+        which must contain a cycle.
+        """
+        rows = self.rows
+        live = 0
+        for i, row in enumerate(rows):
+            if row:
+                live |= 1 << i
+        while live:
+            sinks = 0
+            rest = live
+            while rest:
+                low = rest & -rest
+                if not rows[low.bit_length() - 1] & live:
+                    sinks |= low
+                rest ^= low
+            if not sinks:
+                return False
+            live ^= sinks
+        return True
 
     def is_transitive(self) -> bool:
         return self.join(self).__sub__(self).is_empty()
@@ -229,3 +285,7 @@ class Rel:
 
     def __repr__(self) -> str:
         return f"Rel({self.n}, {{{', '.join(f'{i}->{j}' for i, j in self.pairs())}}})"
+
+
+_new = object.__new__
+_of = Rel._of

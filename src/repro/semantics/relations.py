@@ -12,6 +12,17 @@ dependency edges, fence helpers, event-class masks) are computed once per
 test in a shared :class:`StaticRelations` and reused by every execution's
 view — the synthesis inner loop visits hundreds of executions per test,
 so this sharing dominates throughput.
+
+The per-execution relations ``rf``, ``co``, ``fr`` and ``sc`` are either
+derived lazily from the :class:`~repro.litmus.execution.Execution` or,
+on the explicit oracle's hot path, handed in precomputed at construction
+by the compiled :class:`~repro.semantics.enumerate.ExecutionKernel`.
+The kernel never builds a view itself: it goes through
+:meth:`repro.models.base.MemoryModel.view`, which passes the precomputed
+relations through, so a model that overrides its view (e.g. a difftest
+mutant that forgets ``fr``) still wins — a precomputed relation only
+pre-fills the lazy cache and never shadows a property a subclass
+defines.
 """
 
 from __future__ import annotations
@@ -37,11 +48,15 @@ class StaticRelations:
         self.test = test
         self.n = test.num_events
         self._fence_rels: dict[tuple[FenceKind, ...], Rel] = {}
+        self._loc_writes: dict[int, int] = {}
 
     @classmethod
     def of(cls, test: LitmusTest) -> StaticRelations:
+        """The shared instance for ``test`` (least-recently-used cache:
+        a hit refreshes the entry's recency)."""
         cached = cls._cache.get(test)
         if cached is not None:
+            cls._cache.move_to_end(test)
             return cached
         static = cls(test)
         cls._cache[test] = static
@@ -179,6 +194,17 @@ class StaticRelations:
     def fences_of(self, *kinds: FenceKind) -> int:
         return self.test.mask_of(lambda i: i.is_fence and i.fence in kinds)
 
+    def writes_at(self, address: int) -> int:
+        """Bitmask of the writes to ``address``'s location."""
+        loc = self.test.location_of(address)
+        mask = self._loc_writes.get(loc)
+        if mask is None:
+            mask = 0
+            for w in self.test.writes_to(loc):
+                mask |= 1 << w
+            self._loc_writes[loc] = mask
+        return mask
+
     def fence_rel(self, *kinds: FenceKind) -> Rel:
         """``(po :> F).po`` — pairs separated by a fence of given strength."""
         cached = self._fence_rels.get(kinds)
@@ -206,18 +232,42 @@ class StaticRelations:
 
 
 class RelationView:
-    """Relations of one execution; static parts shared per test."""
+    """Relations of one execution; static parts shared per test.
+
+    ``rf``, ``co``, ``fr`` and ``sc``, when given, must be exactly the
+    relations the lazy definitions below would derive from
+    ``execution``; they pre-fill the per-view cache.
+    """
 
     __slots__ = ("execution", "test", "static", "__dict__")
 
     def __init__(
-        self, execution: Execution, static: StaticRelations | None = None
+        self,
+        execution: Execution,
+        static: StaticRelations | None = None,
+        *,
+        rf: Rel | None = None,
+        co: Rel | None = None,
+        fr: Rel | None = None,
+        sc: Rel | None = None,
     ):
         self.execution = execution
         self.test = execution.test
         self.static = static if static is not None else StaticRelations.of(
             execution.test
         )
+        # An instance-dict entry shadows a cached_property (a non-data
+        # descriptor) exactly as its own cached value would, while a
+        # property a subclass defines (a data descriptor) still wins.
+        cache = self.__dict__
+        if rf is not None:
+            cache["rf"] = rf
+        if co is not None:
+            cache["co"] = co
+        if fr is not None:
+            cache["fr"] = fr
+        if sc is not None:
+            cache["sc"] = sc
 
     @property
     def n(self) -> int:
@@ -377,16 +427,16 @@ class RelationView:
         every write to its address (the paper's Fig. 4 alternative
         definition of ``fr``).
         """
-        pairs = []
+        rows = [0] * self.n
+        co_rows = self.co.rows
         for read, src in self.execution.rf:
-            addr = self.test.instruction(read).address
-            assert addr is not None
             if src is None:
-                pairs += [(read, w) for w in self.test.writes_to(addr)]
+                addr = self.test.instruction(read).address
+                assert addr is not None
+                rows[read] = self.static.writes_at(addr)
             else:
-                after = self.co.rows[src]
-                pairs += [(read, w) for w in _bits(after)]
-        return Rel.from_pairs(self.n, pairs)
+                rows[read] = co_rows[src]
+        return Rel(self.n, tuple(rows))
 
     @cached_property
     def com(self) -> Rel:
@@ -434,9 +484,3 @@ class RelationView:
     def fre(self) -> Rel:
         return self.fr & self.ext
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

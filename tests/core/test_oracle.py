@@ -89,3 +89,39 @@ class TestObservable:
         for name in ("MP", "SB", "LB"):
             oracle.analyze(CATALOG[name].test)
         assert len(oracle._analysis) == 2
+        # least recently used, not first in: a hit refreshes recency
+        oracle = ExplicitOracle(get_model("tso"), analysis_cache=2)
+        mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+        oracle.analyze(mp)
+        oracle.analyze(sb)
+        oracle.analyze(mp)
+        oracle.analyze(lb)
+        assert mp in oracle._analysis
+        assert sb not in oracle._analysis
+        assert oracle.stats["analysis_hits"] == 1
+
+    def test_observe_cache_is_least_recently_used(self):
+        oracle = ExplicitOracle(get_model("tso"), observe_cache=2)
+        keys = [(CATALOG[n].test, CATALOG[n].forbidden) for n in ("MP", "SB", "LB")]
+        oracle.observable(*keys[0])
+        oracle.observable(*keys[1])
+        oracle.observable(*keys[0])
+        oracle.observable(*keys[2])
+        assert keys[0] in oracle._observe
+        assert keys[1] not in oracle._observe
+
+
+def test_static_relations_cache_is_least_recently_used(monkeypatch):
+    from collections import OrderedDict
+
+    from repro.semantics.relations import StaticRelations
+
+    monkeypatch.setattr(StaticRelations, "_cache", OrderedDict())
+    monkeypatch.setattr(StaticRelations, "_cache_max", 2)
+    mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+    first = StaticRelations.of(mp)
+    StaticRelations.of(sb)
+    assert StaticRelations.of(mp) is first
+    StaticRelations.of(lb)
+    assert mp in StaticRelations._cache
+    assert sb not in StaticRelations._cache

@@ -21,6 +21,18 @@ def rels(draw, n=N):
     return Rel.from_pairs(n, pairs)
 
 
+@st.composite
+def sized_rels(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    return draw(rels(n=n))
+
+
+@st.composite
+def sized_rel_pairs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    return draw(rels(n=n)), draw(rels(n=n))
+
+
 @given(rels(), rels())
 def test_union_commutative(a, b):
     assert a | b == b | a
@@ -66,7 +78,7 @@ def test_closure_idempotent(a):
     assert a.plus().plus() == a.plus()
 
 
-@given(rels())
+@given(sized_rels())
 def test_closure_matches_pair_reachability(a):
     closed = a.plus()
     # Floyd-Warshall reference
@@ -113,7 +125,7 @@ def test_restrictions_shrink(a, mask):
     }
 
 
-@given(rels())
+@given(sized_rels())
 def test_acyclic_iff_no_diagonal_in_closure(a):
     assert a.is_acyclic() == a.plus().is_irreflexive()
 
@@ -133,3 +145,52 @@ def test_total_order_properties(order):
     assert r.is_acyclic()
     assert r.is_transitive()
     assert len(r) == len(order) * (len(order) - 1) // 2
+
+
+# -- internal constructor, operator results and cycles (universes up to 8) --
+
+
+@given(st.integers(1, 8), st.data())
+def test_cycles_are_never_acyclic(n, data):
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    cycle = list(zip(nodes, nodes[1:] + nodes[:1]))
+    extra = data.draw(rels(n=n))
+    assert not (Rel.from_pairs(n, cycle) | extra).is_acyclic()
+
+
+def _same_as_pairs(rel):
+    """The operator result equals a validated rebuild from its pairs."""
+    public = Rel.from_pairs(rel.n, rel.pairs())
+    assert rel == public and public == rel
+    assert hash(rel) == hash(public)
+    assert len({rel, public}) == 1
+
+
+@given(sized_rel_pairs())
+def test_operator_results_match_from_pairs(ab):
+    a, b = ab
+    pa, pb = set(a.pairs()), set(b.pairs())
+    n = a.n
+    cases = [
+        (a | b, pa | pb),
+        (a & b, pa & pb),
+        (a - b, pa - pb),
+        (~a, {(j, i) for i, j in pa}),
+        (a.join(b), {(i, k) for i, j in pa for j2, k in pb if j == j2}),
+        (a.restrict_range(b.domain()), {(i, j) for i, j in pa if (b.domain() >> j) & 1}),
+        (a.restrict_domain(b.range()), {(i, j) for i, j in pa if (b.range() >> i) & 1}),
+    ]
+    for result, expected in cases:
+        assert result == Rel.from_pairs(n, expected)
+        _same_as_pairs(result)
+    for closure in (a.plus(), a.star(), a.opt()):
+        _same_as_pairs(closure)
+
+
+@given(sized_rels())
+def test_internal_constructor_equals_public(a):
+    internal = Rel._of(a.n, a.rows)
+    public = Rel(a.n, a.rows)
+    assert internal == public == a
+    assert hash(internal) == hash(public) == hash(a)
+    assert {internal: 1}[public] == 1
