@@ -389,6 +389,7 @@ class AlloyOracle:
         incremental mode."""
         cached = self._analysis.get(test)
         if cached is not None:
+            self._analysis.move_to_end(test)
             self._analysis_hits += 1
             return cached
         self._analyses += 1  # like ExplicitOracle: misses, not calls

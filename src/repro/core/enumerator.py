@@ -29,11 +29,20 @@ The candidate space splits into deterministic *work items*: one item per
 ``(thread-size partition, first-unit index)`` pair, i.e. the enumerator's
 top-level fan-out.  ``enumerate_tests(..., shard=(i, n))`` keeps only the
 items whose ordinal is congruent to ``i`` modulo ``n``, so the ``n``
-shards partition the space exactly (round-robin, which also balances the
-expensive early partitions across shards).  The union of all shards
+shards partition the space exactly (round-robin, which also spreads
+each partition's items across shards).  The union of all shards
 yields the same candidates in the same within-shard relative order as the
 unsharded stream — :mod:`repro.exec` exploits this to merge parallel
 results back into the sequential order.
+
+A work item costs in proportion to the selections it builds, not to the
+size of its thread-unit pool: a one-thread lead group is the pinned unit
+itself, and only a multi-thread lead group copies its pool tail, which
+it then at least matches in output.  Items whose lead unit cannot open a
+canonical address order (its own addresses do not first appear as
+0, 1, ...) can yield nothing and are skipped without building a
+selection, but they still take their ordinal, so item numbering and
+shard membership do not depend on the skip.
 """
 
 from __future__ import annotations
@@ -375,6 +384,11 @@ def enumerate_shard(
     stream in a deterministic order, so sorting shard outputs by
     ``(item, position-within-item)`` reconstructs the exact sequential
     enumeration order — the property :mod:`repro.exec`'s merge relies on.
+
+    Each pool size's lead verdicts (can this unit open a canonical
+    selection?) are computed once, next to the pool; an item with a
+    non-canonical lead is numbered and then skipped, since the canonical
+    address check would reject every selection it builds.
     """
     if shard is not None:
         shard_index, shard_count = shard
@@ -385,6 +399,8 @@ def enumerate_shard(
                 f"shard index {shard_index} out of range for {shard_count} shards"
             )
     unit_pool: dict[int, list[ThreadUnit]] = {}
+    # per pool size: can each unit lead a canonical selection?
+    can_lead: dict[int, list[bool]] = {}
     item = -1
     for n in range(config.min_events, config.max_events + 1):
         cap = (
@@ -395,11 +411,23 @@ def enumerate_shard(
         for sizes in _partitions(n, config.max_threads, cap):
             groups = _group_sizes(sizes)
             first_size = groups[0][0]
-            if first_size not in unit_pool:
-                unit_pool[first_size] = thread_units(first_size, vocab, config)
-            for first_index in range(len(unit_pool[first_size])):
+            if first_size not in can_lead:
+                if first_size not in unit_pool:
+                    unit_pool[first_size] = thread_units(
+                        first_size, vocab, config
+                    )
+                can_lead[first_size] = [
+                    _addresses_canonical((unit,))
+                    for unit in unit_pool[first_size]
+                ]
+            for first_index, leads in enumerate(can_lead[first_size]):
                 item += 1
                 if shard is not None and item % shard_count != shard_index:
+                    continue
+                if not leads:
+                    # The lead unit opens the flattened selection, so
+                    # every selection of this item fails the canonical
+                    # address check; the item keeps its ordinal.
                     continue
                 for selection in _unit_selections(
                     groups, unit_pool, vocab, config, first_index
@@ -524,7 +552,10 @@ def _unit_selections(
     ``first_index`` pins the first group's first unit to that pool index;
     splitting ``combinations_with_replacement`` on its lead element this
     way preserves the overall lexicographic order, which is what makes
-    the work-item ordinals in :func:`enumerate_shard` stable.
+    the work-item ordinals in :func:`enumerate_shard` stable.  A pinned
+    one-unit group is just ``(first,)``; a larger one ranges over the
+    pool tail from ``first_index``, whose copy is no longer than the
+    group's output, so an item's cost follows what it yields.
     """
     per_group: list = []
     for gi, (size, count) in enumerate(groups):
@@ -533,6 +564,9 @@ def _unit_selections(
         pool = unit_pool[size]
         if gi == 0 and first_index is not None:
             first = pool[first_index]
+            if count == 1:
+                per_group.append(((first,),))
+                continue
             per_group.append(
                 [
                     (first,) + rest

@@ -107,6 +107,19 @@ class TestObservability:
         assert 0 < sc_ok < all_execs
 
 
+class TestAnalysisCache:
+    def test_analysis_cache_is_least_recently_used(self):
+        oracle = AlloyOracle("tso", analysis_cache=2)
+        mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+        oracle.analyze(mp)
+        oracle.analyze(sb)
+        oracle.analyze(mp)  # a hit refreshes recency
+        oracle.analyze(lb)
+        assert mp in oracle._analysis
+        assert sb not in oracle._analysis
+        assert oracle.as_metrics()["analysis_hits"] == 1
+
+
 class TestExecutionPinning:
     def test_is_valid_matches_explicit(self, tso_alloy):
         test = CATALOG["MP"].test
